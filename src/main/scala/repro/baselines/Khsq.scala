@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Bfs, LocalGraph}
-import scala.collection.mutable.ArrayBuffer
 
 /** KHSQ [25]: the k-hop s-t subgraph G^k_st — all edges e(u,v) with
   * Δ(s,u) + 1 + Δ(v,t) ≤ k, i.e. every edge on *some* (not necessarily
@@ -18,21 +17,7 @@ object Khsq {
   def subgraph(g: LocalGraph, s: Int, t: Int, k: Int, plus: Boolean): LocalGraph = {
     val mode  = if (plus) Bfs.SearchMode.Adaptive else Bfs.SearchMode.Single
     val dists = Bfs.distances(g, s, t, k, mode)
-    val kept  = new ArrayBuffer[Long]()
-    var u = 0
-    while (u < g.n) {
-      val du = dists.fromS(u)
-      if (du < k) {
-        val a = g.outAdj(u); var j = 0
-        while (j < a.length) {
-          val v = a(j)
-          if (dists.toT(v) <= k - 1 - du) kept += LocalGraph.enc(u, v)
-          j += 1
-        }
-      }
-      u += 1
-    }
-    LocalGraph.fromEncodedEdges(g.n, kept.toArray)
+    LocalGraph.fromEncodedEdges(g.n, Bfs.windowEdges(g, dists, k))
   }
 
   /** Encoded edge set of G^k_st (for size comparisons in tests). */

@@ -46,23 +46,10 @@ object PathEnum {
   }
 
   def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int): Index = {
-    val distF = Bfs.bounded(g.outAdj, g.n, s, k)
-    val distB = Bfs.bounded(g.inAdj, g.n, t, k)
-    val kept  = new ArrayBuffer[Long]()
-    var u = 0
-    while (u < g.n) {
-      val du = distF(u)
-      if (du < k) {
-        val a = g.outAdj(u); var j = 0
-        while (j < a.length) {
-          val v = a(j)
-          if (distB(v) <= k - 1 - du) kept += LocalGraph.enc(u, v)
-          j += 1
-        }
-      }
-      u += 1
-    }
-    val fwd = kept.toArray
+    val dists = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
+    val distF = dists.toAll
+    val distB = dists.fromAll
+    val fwd   = Bfs.windowEdges(g, dists, k)
     java.util.Arrays.sort(fwd)
     val out = LocalGraph.grouped(g.n, fwd)
     val rev = fwd.map(e => LocalGraph.enc(LocalGraph.dst(e), LocalGraph.src(e)))

@@ -44,27 +44,50 @@ object Bfs {
   }
 
   /** Plain k-bounded BFS over the given adjacency from `root`. */
-  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] = {
+  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] =
+    boundedFrom(adj, n, root :: Nil, k)
+
+  /** k-bounded BFS over the given adjacency: distance to the nearest of `roots`. */
+  private[core] def boundedFrom(adj: Array[Array[Int]], n: Int, roots: Seq[Int], k: Int): Array[Int] = {
     val dist = Array.fill(n)(Inf)
-    dist(root) = 0
-    var frontier = ArrayBuffer(root)
-    var d = 0
-    while (d < k && frontier.nonEmpty) {
+    val frontier = new ArrayBuffer[Int]()
+    roots.foreach { r => if (dist(r) == Inf) { dist(r) = 0; frontier += r } }
+    expand(adj, dist, frontier, 0, k, null)
+    dist
+  }
+
+  /** Level-by-level BFS expansion: `frontier` holds the vertices at distance
+    * `depth`; every vertex y first reached over `adj` gets dist(y) = its level,
+    * up to level `maxDepth`. A non-null `admit` lets in only vertices y with a
+    * finite admit(y). Returns the last level reached (empty once the search
+    * runs out).
+    */
+  private def expand(
+      adj: Array[Array[Int]],
+      dist: Array[Int],
+      frontier: ArrayBuffer[Int],
+      depth: Int,
+      maxDepth: Int,
+      admit: Array[Int],
+  ): ArrayBuffer[Int] = {
+    var cur = frontier
+    var d = depth
+    while (d < maxDepth && cur.nonEmpty) {
       val next = new ArrayBuffer[Int]()
       var i = 0
-      while (i < frontier.length) {
-        val x = frontier(i); val a = adj(x); var j = 0
+      while (i < cur.length) {
+        val a = adj(cur(i)); var j = 0
         while (j < a.length) {
           val y = a(j)
-          if (dist(y) == Inf) { dist(y) = d + 1; next += y }
+          if (dist(y) == Inf && (admit == null || admit(y) != Inf)) { dist(y) = d + 1; next += y }
           j += 1
         }
         i += 1
       }
-      frontier = next
+      cur = next
       d += 1
     }
-    dist
+    cur
   }
 
   /** Compute Δ(s,·) and Δ(·,t) bounded by k with the requested strategy. */
@@ -75,6 +98,32 @@ object Bfs {
       case SearchMode.BiDir    => bidirectional(g, s, t, k, adaptive = false)
       case SearchMode.Adaptive => bidirectional(g, s, t, k, adaptive = true)
     }
+
+  /** The G^k_st window of KHSQ [25]: e(u,v) lies on some ≤k-hop s-t walk iff
+    * Δ(s,u)+1+Δ(v,t) ≤ k, given du = Δ(s,u) and dv = Δ(v,t). [[Inf]] leaves
+    * the sum without overflow.
+    */
+  @inline def inWindow(du: Int, dv: Int, k: Int): Boolean = du + 1 + dv <= k
+
+  /** All edges of `g` inside the G^k_st window, encoded via [[LocalGraph.enc]],
+    * in (u, adjacency) order.
+    */
+  def windowEdges(g: LocalGraph, dists: Dists, k: Int): Array[Long] = {
+    val kept = new ArrayBuffer[Long]()
+    var u = 0
+    while (u < g.n) {
+      val du = dists.fromS(u)
+      if (du < k) { // no window edge leaves u otherwise
+        val a = g.outAdj(u); var j = 0
+        while (j < a.length) {
+          if (inWindow(du, dists.toT(a(j)), k)) kept += LocalGraph.enc(u, a(j))
+          j += 1
+        }
+      }
+      u += 1
+    }
+    kept.toArray
+  }
 
   /** Bi-directional phase 1 (total depth k split between the two sides),
     * then restricted continuations (see the class doc for the guarantee).
@@ -88,35 +137,6 @@ object Bfs {
     var depthF = 0
     var depthB = 0
 
-    def stepF(restrictToB: Boolean): Unit = {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fF.length) {
-        val a = g.outAdj(fF(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dF(y) == Inf && (!restrictToB || dB(y) != Inf)) { dF(y) = depthF + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fF = next; depthF += 1
-    }
-    def stepB(restrictToF: Boolean): Unit = {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fB.length) {
-        val a = g.inAdj(fB(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dB(y) == Inf && (!restrictToF || dF(y) != Inf)) { dB(y) = depthB + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fB = next; depthB += 1
-    }
-
     // Phase 1: split the total depth budget k between the two sides.
     while (depthF + depthB < k && (fF.nonEmpty || fB.nonEmpty)) {
       val forward =
@@ -124,47 +144,19 @@ object Bfs {
         else if (fB.isEmpty) true
         else if (adaptive) fF.length <= fB.length
         else depthF <= depthB // strict alternation, forward first (⌈k/2⌉ / ⌊k/2⌋)
-      if (forward) stepF(restrictToB = false) else stepB(restrictToF = false)
+      if (forward) { fF = expand(g.outAdj, dF, fF, depthF, depthF + 1, null); depthF += 1 }
+      else { fB = expand(g.inAdj, dB, fB, depthB, depthB + 1, null); depthB += 1 }
     }
     // Snapshot which vertices each phase-1 side has seen: the continuations
     // below must restrict to the *opposite phase-1* exploration, so run the
     // forward continuation against a frozen view of dB and vice versa.
     val dBPhase1 = dB.clone()
     val dFPhase1 = dF.clone()
-    val fBPhase1 = fB
 
-    // Phase 2a: forward continuation for the remaining steps, over vertices
-    // explored backward in phase 1.
-    while (depthF < k && fF.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fF.length) {
-        val a = g.outAdj(fF(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dF(y) == Inf && dBPhase1(y) != Inf) { dF(y) = depthF + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fF = next; depthF += 1
-    }
-    // Phase 2b: backward continuation over vertices explored forward in phase 1.
-    fB = fBPhase1
-    while (depthB < k && fB.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fB.length) {
-        val a = g.inAdj(fB(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dB(y) == Inf && dFPhase1(y) != Inf) { dB(y) = depthB + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fB = next; depthB += 1
-    }
+    // Phase 2: each side continues for the remaining steps, over vertices
+    // the other side explored in phase 1.
+    expand(g.outAdj, dF, fF, depthF, k, dBPhase1)
+    expand(g.inAdj, dB, fB, depthB, k, dFPhase1)
     Dists(dF, dB)
   }
 }

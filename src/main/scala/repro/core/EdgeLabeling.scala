@@ -90,8 +90,8 @@ object EdgeLabeling {
     EdgeLabel.Failing
   }
 
-  /** Label every edge inside the bi-directional search space and assemble the
-    * upper-bound graph. Edges with Δ(s,u)+1+Δ(v,t) > k are failing without
+  /** Label every edge inside the G^k_st window ([[Bfs.windowEdges]]) and
+    * assemble the upper-bound graph. Edges outside it are failing without
     * inspection (they violate the length constraint outright).
     */
   def upperBound(
@@ -105,25 +105,12 @@ object EdgeLabeling {
   ): UpperBoundGraph = {
     val edges  = new ArrayBuffer[Long]()
     val labels = new ArrayBuffer[Byte]()
-    var u = 0
-    while (u < g.n) {
-      val du = dists.fromS(u)
-      if (du < k) {
-        val outs = g.outAdj(u)
-        var j = 0
-        while (j < outs.length) {
-          val v = outs(j)
-          if (dists.toT(v) <= k - 1 - du) {
-            val lab = labelEdge(k, s, t, u, v, evF, evB)
-            if (lab != EdgeLabel.Failing) {
-              edges += LocalGraph.enc(u, v)
-              labels += lab
-            }
-          }
-          j += 1
-        }
+    for (e <- Bfs.windowEdges(g, dists, k)) {
+      val lab = labelEdge(k, s, t, LocalGraph.src(e), LocalGraph.dst(e), evF, evB)
+      if (lab != EdgeLabel.Failing) {
+        edges += e
+        labels += lab
       }
-      u += 1
     }
     new UpperBoundGraph(g.n, k, s, t, edges.toArray, labels.toArray)
   }

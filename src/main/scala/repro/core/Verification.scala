@@ -64,10 +64,9 @@ final class Verifier(
   }
 
   /** Verify one undetermined edge, adding the witness path's edges to
-    * `result` when found. Exposed for the distributed verifier, which shards
-    * the undetermined edges across executors.
+    * `result` when found.
     */
-  def verifyEdge(e: Long, result: java.util.HashSet[java.lang.Long]): Boolean = {
+  private def verifyEdge(e: Long, result: java.util.HashSet[java.lang.Long]): Boolean = {
     val u = LocalGraph.src(e); val v = LocalGraph.dst(e)
     onStack(u) = true; onStack(v) = true; onStack(ub.s) = true; onStack(ub.t) = true
     stkE.clear(); stkE += e
@@ -151,37 +150,15 @@ final class Verifier(
 
 object Verifier {
 
-  /** Multi-source BFS distance over the given adjacency from all `sources`. */
-  private def multiSourceDist(adj: Array[Array[Int]], n: Int, sources: Seq[Int]): Array[Int] = {
-    val dist = Array.fill(n)(Bfs.Inf)
-    var frontier = new ArrayBuffer[Int]()
-    sources.foreach { s => if (dist(s) == Bfs.Inf) { dist(s) = 0; frontier += s } }
-    var d = 0
-    while (frontier.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < frontier.length) {
-        val a = adj(frontier(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dist(y) == Bfs.Inf) { dist(y) = d + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      frontier = next; d += 1
-    }
-    dist
-  }
-
   /** §5.3: sort out-neighbors ascending by distance to the closest arrival
     * (following SPGu edges forward); arrivals themselves (distance 0) sort by
     * |Out_A| descending.
     */
   private[core] def orderedOut(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
     // Distance from w to the nearest arrival along forward edges = BFS from
-    // the arrival set over reversed SPGu edges.
-    val distToArr = multiSourceDist(ub.inU, ub.n, b.arrivals)
+    // the arrival set over reversed SPGu edges; no distance reaches ub.n, so
+    // that bound leaves the search unbounded.
+    val distToArr = Bfs.boundedFrom(ub.inU, ub.n, b.arrivals, ub.n)
     ub.outU.map { a =>
       if (a.length <= 1) a
       else {
@@ -196,7 +173,7 @@ object Verifier {
     * departure; departures sort by |In_D| descending.
     */
   private[core] def orderedIn(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
-    val distFromDep = multiSourceDist(ub.outU, ub.n, b.departures)
+    val distFromDep = Bfs.boundedFrom(ub.outU, ub.n, b.departures, ub.n)
     ub.inU.map { a =>
       if (a.length <= 1) a
       else {

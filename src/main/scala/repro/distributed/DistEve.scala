@@ -1,24 +1,23 @@
 package repro.distributed
 
 import org.apache.spark.graphx._
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 
 import scala.collection.mutable.ArrayBuffer
 
-/** EVE as a distributed dataflow over GraphX vertex/edge RDDs.
+/** EVE over a DataFrame edge list, with the |E|-proportional work on GraphX.
   *
-  * Phase mapping (mirrors [[repro.core.Eve]]):
-  *  1. bounded BFS distances from s and to t — two Pregel runs;
-  *  2. essential-vertex propagation — k-1 rounds of `aggregateMessages`
-  *     (forward over edges, backward against them), with the forward-looking
-  *     pruning predicate folded into the send side;
-  *  3. edge labeling — one pass over the triplets carrying (EV_f, EV_b);
-  *  4. verification — the upper-bound graph is small (bounded by the query's
-  *     k-hop neighborhood), so it is broadcast and the undetermined edges are
-  *     sharded across executors, each shard verified with the sequential
-  *     [[repro.core.Verifier]].
+  *  1. bounded BFS distances Δ(s,·) and Δ(·,t) — two Pregel runs;
+  *  2. one pass over the triplets keeps the G^k_st window of KHSQ [25]
+  *     ([[repro.core.Bfs.inWindow]]), which is collected to the driver;
+  *  3. local [[repro.core.Eve]] answers on that window, its ids compacted
+  *     to Int.
+  *
+  * Every edge of a ≤k-hop s-t simple path lies in G^k_st, so EVE on the
+  * window is SPG_k(s,t) of the whole graph: the paper's Table 5 generates SPG
+  * on G^k_st in place of G the same way. The window holds only edges on some
+  * ≤k-hop s-t walk, so it is query-local and fits on the driver.
   *
   * Entry/exit are DataFrames of (src, dst) Long columns.
   */
@@ -26,15 +25,16 @@ object DistEve {
 
   private val Inf = Bfs.Inf
 
-  /** k-bounded BFS distance from `root` via Pregel. `reverse` walks edges
-    * backwards (distance *to* root).
+  /** k-bounded BFS distance from `root` via Pregel, over a graph whose
+    * vertices all hold [[Bfs.Inf]]. `reverse` walks edges backwards
+    * (distance *to* root). The returned graph is cached; the caller
+    * unpersists it.
     */
-  private[distributed] def pregelDist(
-      graph: Graph[Int, _], root: VertexId, k: Int, reverse: Boolean): VertexRDD[Int] = {
-    val init = graph.mapVertices((id, _) => if (id == root) 0 else Inf)
-    val dir  = if (reverse) EdgeDirection.In else EdgeDirection.Out
-    val res = Pregel(init, Inf, maxIterations = k, activeDirection = dir)(
-      vprog = (_, attr, msg) => math.min(attr, msg),
+  private def pregelDist(
+      graph: Graph[Int, Int], root: VertexId, k: Int, reverse: Boolean): Graph[Int, Int] = {
+    val dir = if (reverse) EdgeDirection.In else EdgeDirection.Out
+    Pregel(graph, Inf, maxIterations = k, activeDirection = dir)(
+      vprog = (id, attr, msg) => if (id == root) 0 else math.min(attr, msg),
       sendMsg = triplet =>
         if (!reverse) {
           if (triplet.srcAttr != Inf && triplet.srcAttr + 1 < triplet.dstAttr)
@@ -47,228 +47,49 @@ object DistEve {
         },
       mergeMsg = math.min,
     )
-    res.vertices
-  }
-
-  // --- sorted Array[Long] set helpers (the VSet analogue for VertexIds) ---
-
-  private[distributed] def addL(a: Array[Long], x: Long): Array[Long] = {
-    val pos = java.util.Arrays.binarySearch(a, x)
-    if (pos >= 0) a
-    else {
-      val ins = -pos - 1
-      val out = new Array[Long](a.length + 1)
-      System.arraycopy(a, 0, out, 0, ins)
-      out(ins) = x
-      System.arraycopy(a, ins, out, ins + 1, a.length - ins)
-      out
-    }
-  }
-
-  private[distributed] def intersectL(a: Array[Long], b: Array[Long]): Array[Long] = {
-    var i = 0; var j = 0; var c = 0
-    val tmp = new Array[Long](math.min(a.length, b.length))
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { tmp(c) = a(i); c += 1; i += 1; j += 1 }
-    }
-    if (c == tmp.length) tmp else java.util.Arrays.copyOf(tmp, c)
-  }
-
-  private def disjointL(a: Array[Long], b: Array[Long]): Boolean = {
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else return false
-    }
-    true
-  }
-
-  private def containsL(a: Array[Long], x: Long): Boolean =
-    java.util.Arrays.binarySearch(a, x) >= 0
-
-  /** Vertex state during propagation: distance to the opposite endpoint (for
-    * pruning), the EV layers accumulated so far, and the delta flag.
-    */
-  private case class PropState(
-      distOther: Int,
-      layers: Array[Array[Long]],
-      changed: Boolean,
-  ) extends Serializable
-
-  /** Distributed analogue of [[repro.core.EssentialVertices.propagate]]:
-    * layered propagation with the inherited-seed recurrence (DESIGN.md §6).
-    * Layer arrays are per-vertex, length k (indexes 0..k-1), null = absent.
-    */
-  private[distributed] def propagate(
-      base: Graph[Int, Byte], // vertex attr = distance to the *other* endpoint
-      source: VertexId,
-      excluded: VertexId,
-      k: Int,
-      forward: Boolean,
-  ): VertexRDD[Array[Array[Long]]] = {
-    var g: Graph[PropState, Byte] = base.mapVertices { (id, dOther) =>
-      val layers = new Array[Array[Long]](math.max(k, 1))
-      if (id == source) layers(0) = Array(source)
-      PropState(dOther, layers, changed = id == source)
-    }.cache()
-
-    var l = 1
-    while (l <= k - 1) {
-      val lNow = l
-      val msgs: VertexRDD[Array[Long]] = g.aggregateMessages[Array[Long]](
-        ctx => {
-          val (sAttr, dId, dAttr) =
-            if (forward) (ctx.srcAttr, ctx.dstId, ctx.dstAttr)
-            else (ctx.dstAttr, ctx.srcId, ctx.srcAttr)
-          if (sAttr.changed && sAttr.layers(lNow - 1) != null &&
-              dId != source && dId != excluded && dAttr.distOther <= k - lNow) {
-            val msg = addL(sAttr.layers(lNow - 1), dId)
-            if (forward) ctx.sendToDst(msg) else ctx.sendToSrc(msg)
-          }
-        },
-        intersectL,
-      )
-      val prev = g
-      g = g.outerJoinVertices(msgs) { (_, attr, msgOpt) =>
-        val inherited = attr.layers(lNow - 1)
-        msgOpt match {
-          case None =>
-            PropState(attr.distOther, attr.layers.updated(lNow, inherited), changed = false)
-          case Some(m) =>
-            val merged = if (inherited == null) m else intersectL(inherited, m)
-            val changed = inherited == null || !java.util.Arrays.equals(merged, inherited)
-            PropState(attr.distOther, attr.layers.updated(lNow, merged), changed)
-        }
-      }.cache()
-      g.vertices.count() // materialize before unpersisting the parent
-      prev.unpersist(blocking = false)
-      l += 1
-    }
-    g.vertices.mapValues(_.layers)
-  }
-
-  /** Algorithm 2 over Array[Long] EV layers (mirrors
-    * [[repro.core.EdgeLabeling.labelEdge]]; equivalence is asserted by
-    * DistEveSpec against the local implementation).
-    */
-  private[distributed] def labelEdge(
-      k: Int, s: VertexId, t: VertexId, u: VertexId, v: VertexId,
-      evF: Array[Array[Long]], evB: Array[Array[Long]]): Byte = {
-    @inline def fAt(l: Int): Array[Long] = if (evF == null) null else evF(l)
-    @inline def bAt(l: Int): Array[Long] = if (evB == null) null else evB(l)
-    if (u == s) return if (bAt(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
-    if (v == t) return if (fAt(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
-    if (k >= 2) {
-      if (fAt(1) != null) {
-        val b2 = bAt(k - 2)
-        if (b2 != null && !containsL(b2, u)) return EdgeLabel.Definite
-      }
-      if (bAt(1) != null) {
-        val f2 = fAt(k - 2)
-        if (f2 != null && !containsL(f2, v)) return EdgeLabel.Definite
-      }
-    }
-    var kf = 2
-    while (kf <= k - 3) {
-      val a = fAt(kf)
-      if (a != null) {
-        val b = bAt(k - kf - 1)
-        if (b != null && disjointL(a, b)) return EdgeLabel.Undetermined
-      }
-      kf += 1
-    }
-    EdgeLabel.Failing
   }
 
   /** Compute SPG_k(s,t) and return its edges as a DataFrame (src, dst). */
   def spg(spark: SparkSession, edgesDf: DataFrame, s: Long, t: Long, k: Int): DataFrame = {
     require(s != t, "query requires s != t")
-    val sc = spark.sparkContext
-    val edgeRdd: RDD[(VertexId, VertexId)] =
-      edgesDf.select("src", "dst").rdd
-        .map(r => (r.getLong(0), r.getLong(1)))
-        .filter { case (u, v) => u != v }
-        .distinct()
-    val graph = Graph.fromEdgeTuples(edgeRdd, defaultValue = 0).cache()
-
-    // Phase 1a: distances.
-    val dF = pregelDist(graph, s, k, reverse = false)
-    val dB = pregelDist(graph, t, k, reverse = true)
-    val reachable = dF.filter { case (id, d) => id == t && d <= k }.count() > 0
-    if (!reachable) {
-      import spark.implicits._
-      return Seq.empty[(Long, Long)].toDF("src", "dst")
-    }
-
-    // Phase 1b: essential-vertex propagation (forward needs Δ(·,t), backward Δ(s,·)).
-    val gForDists: Graph[(Int, Int), Byte] = graph
-      .outerJoinVertices(dF)((_, _, d) => d.getOrElse(Inf))
-      .outerJoinVertices(dB)((_, df, db) => (df, db.getOrElse(Inf)))
-      .mapEdges(_ => 0.toByte)
-    val gPruneF = gForDists.mapVertices((_, d) => d._2) // attr = Δ(·,t)
-    val gPruneB = gForDists.mapVertices((_, d) => d._1) // attr = Δ(s,·)
-    val evF = propagate(gPruneF, s, t, k, forward = true)
-    val evB = propagate(gPruneB, t, s, k, forward = false)
-
-    // Phase 2: labeling over triplets carrying ((dF,dB), evF, evB).
-    val withEv: Graph[((Int, Int), Array[Array[Long]], Array[Array[Long]]), Byte] = gForDists
-      .outerJoinVertices(evF)((_, d, e) => (d, e.orNull))
-      .outerJoinVertices(evB)((_, de, e) => (de._1, de._2, e.orNull))
-    val labeled: RDD[(Long, Long, Byte)] = withEv.triplets.flatMap { tr =>
-      val (du, _, _) = tr.srcAttr
-      val (dv, _, _) = tr.dstAttr
-      if (du._1 < k && dv._2 <= k - 1 - du._1) {
-        val lab = labelEdge(k, s, t, tr.srcId, tr.dstId, tr.srcAttr._2, tr.dstAttr._3)
-        if (lab != EdgeLabel.Failing) Iterator((tr.srcId, tr.dstId, lab)) else Iterator.empty
-      } else Iterator.empty
-    }
-    val upper = labeled.collect()
-
-    // Phase 3: verification. The upper-bound graph is query-local and small;
-    // compact its ids, broadcast it, and verify undetermined edges in
-    // parallel shards.
-    val ids = upper.iterator.flatMap { case (u, v, _) => Iterator(u, v) }.toArray.distinct.sorted
-    val idOf = ids.zipWithIndex.toMap
-    // s/t may be absent from the upper bound only when it is empty.
-    if (upper.isEmpty) {
-      import spark.implicits._
-      return Seq.empty[(Long, Long)].toDF("src", "dst")
-    }
-    val n   = ids.length
-    val enc = upper.map { case (u, v, _) => LocalGraph.enc(idOf(u), idOf(v)) }
-    // s and t are always endpoints of the upper bound when t is k-reachable:
-    // the shortest s-t path's edges are in SPG ⊆ SPGu.
-    val ub = new UpperBoundGraph(n, k, idOf(s), idOf(t), enc, upper.map(_._3))
-
-    val resultCompact: Set[Long] =
-      if (k <= 4) enc.toSet
-      else {
-        val boundary = Boundary.compute(ub)
-        val definite = ub.definiteEdges.toSet
-        val undetermined = ub.undeterminedEdges.toArray
-        val bcUb = sc.broadcast(ub)
-        val bcBd = sc.broadcast(boundary)
-        val verified = sc
-          .parallelize(undetermined.toIndexedSeq, math.max(1, math.min(undetermined.length, sc.defaultParallelism)))
-          .mapPartitions { it =>
-            val verifier = new Verifier(bcUb.value, bcBd.value, ordering = true, Deadline.None)
-            val acc = new java.util.HashSet[java.lang.Long]()
-            it.foreach { e => if (!acc.contains(e)) verifier.verifyEdge(e, acc) }
-            import scala.jdk.CollectionConverters._
-            acc.asScala.iterator.map(Long2long)
-          }
+    val edgeRdd = edgesDf.select("src", "dst").rdd
+      .map(r => (r.getLong(0), r.getLong(1)))
+      .filter { case (u, v) => u != v }
+      .distinct()
+    // The answer is built from driver-side data, so nothing cached here
+    // outlives the call.
+    val cached = ArrayBuffer[Graph[_, Int]]()
+    def keep[G <: Graph[_, Int]](g: G): G = { cached += g; g }
+    val window =
+      try {
+        val graph = keep(Graph.fromEdgeTuples(edgeRdd, defaultValue = Inf).cache())
+        val dF = keep(pregelDist(graph, s, k, reverse = false))
+        val dB = keep(pregelDist(graph, t, k, reverse = true))
+        keep(dF.outerJoinVertices(dB.vertices)((_, df, db) => (df, db.getOrElse(Inf))))
+          .triplets
+          .filter(tr => Bfs.inWindow(tr.srcAttr._1, tr.dstAttr._2, k))
+          .map(tr => (tr.srcId, tr.dstId))
           .collect()
-          .toSet
-        definite ++ verified
+      } finally {
+        // Not Graph.unpersist: it releases the edges GraphX last shipped
+        // vertex attributes into (the triplet pass re-ships the joined
+        // graph's), not the edge RDD the graph cached.
+        for (g <- cached) {
+          g.vertices.unpersist(blocking = false)
+          g.edges.unpersist(blocking = false)
+        }
       }
 
     import spark.implicits._
-    resultCompact.toSeq
+    // An empty window means t is not k-reachable from s; otherwise s and t
+    // are endpoints of window edges (those of a shortest s-t path).
+    if (window.isEmpty) return Seq.empty[(Long, Long)].toDF("src", "dst")
+    val ids = window.flatMap { case (u, v) => Array(u, v) }.distinct.sorted
+    def local(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
+    val g = LocalGraph.fromEdges(ids.length, window.map { case (u, v) => (local(u), local(v)) })
+    Eve.spg(g, local(s), local(t), k)
       .map(e => (ids(LocalGraph.src(e)), ids(LocalGraph.dst(e))))
-      .sorted
+      .toSeq
       .toDF("src", "dst")
   }
 }

@@ -20,7 +20,10 @@ class KhsqSpec extends SparkSpec {
       val g = GraphGen.uniform(20, 60, seed * 23 + k)
       val s = seed % g.n; val t = (seed * 3 + 4) % g.n
       if (s != t) {
-        assert(Khsq.edges(g, s, t, k, plus = false) == reference(g, s, t, k))
+        val ref = reference(g, s, t, k)
+        assert(Khsq.edges(g, s, t, k, plus = false) == ref)
+        val index = PathEnum.buildIndex(g, s, t, k).asGraph
+        assert(index.edges.map { case (u, v) => LocalGraph.enc(u, v) }.toSet == ref, "PathEnum index")
       }
     }
     test(s"KHSQ+ equals KHSQ (seed=$seed k=$k)") {

@@ -78,6 +78,19 @@ class BfsSpec extends SparkSpec {
     }
   }
 
+  // The §5.3 ordering distances only change the verifier's search order, so
+  // end results cannot show a wrong multi-root BFS; check it directly.
+  for (seed <- 0 until 10; k <- Seq(2, 5)) {
+    test(s"multi-root bounded distances are the minimum over single roots (seed=$seed k=$k)") {
+      val n = 15 + seed * 2
+      val g = GraphGen.uniform(n, 2 * n + seed, seed * 13 + k)
+      val roots = Seq(seed % n, (seed * 5 + 2) % n, (seed * 11 + 7) % n)
+      val single = roots.map(r => Bfs.bounded(g.outAdj, n, r, k))
+      val multi = Bfs.boundedFrom(g.outAdj, n, roots, k)
+      for (y <- 0 until n) assert(multi(y) == single.map(_(y)).min, s"roots=$roots y=$y")
+    }
+  }
+
   test("disconnected target: all modes agree on unreachability") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (2, 3))) // 0 cannot reach 3
     for (mode <- Seq(Bfs.SearchMode.Single, Bfs.SearchMode.BiDir, Bfs.SearchMode.Adaptive)) {

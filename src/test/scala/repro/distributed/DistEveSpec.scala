@@ -54,21 +54,31 @@ class DistEveSpec extends SparkSpec {
     assert(distSpg(g, s, t, k) == exp)
   }
 
-  test("labelEdge (Long) mirrors the sequential labeler on the paper graph") {
+  test("DistEve compacts vertex ids above Int range, duplicate edges and self-loops") {
+    val g    = GraphGen.uniform(40, 130, seed = 11)
+    val base = 1L << 40
+    val s = 2; val t = 17; val k = 6
+    import spark.implicits._
+    val raw = g.edges.map { case (u, v) => (base + u, base + v) }.toSeq
+    val loops = (0 until g.n by 5).map(v => (base + v, base + v))
+    val df = (raw ++ raw.take(20) ++ loops).toDF("src", "dst")
+    val got = DistEve.spg(spark, df, base + s, base + t, k)
+      .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val exp = localSpg(g, s, t, k).map { case (u, v) => (base + u, base + v) }
+    assert(exp.nonEmpty && got == exp)
+  }
+
+  test("DistEve leaves no RDD cached across calls") {
     import PaperGraph._
-    import repro.core.{Bfs, EdgeLabeling, EssentialVertices}
-    val k     = 7
-    val dists = Bfs.distances(graph, s, t, k, Bfs.SearchMode.Single)
-    val evF   = EssentialVertices.propagate(graph, s, t, k, dists.fromAll, pruning = false)
-    val evB   = EssentialVertices.propagate(graph.reverse, t, s, k, dists.toAll, pruning = false)
-    def toL(layers: Array[Array[Int]]): Array[Array[Long]] =
-      layers.map(l => if (l == null) null else l.map(_.toLong))
-    for ((u, v) <- PaperGraph.edges) {
-      val local = EdgeLabeling.labelEdge(k, s, t, u, v, evF, evB)
-      val fL    = toL((0 until k).map(l => evF.at(l, u)).toArray)
-      val bL    = toL((0 until k).map(l => evB.at(l, v)).toArray)
-      val dist  = DistEve.labelEdge(k, s, t, u, v, fL, bL)
-      assert(local == dist, s"edge ($u,$v)")
-    }
+    val edges = SpgOracle.edgesDf(spark, graph).cache()
+    edges.count()
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    DistEve.spg(spark, edges, s, t, 6).count()
+    DistEve.spg(spark, edges, s, t, 5).count()
+    // Compared by id, not by count: Spark's ContextCleaner may drop RDDs
+    // that other suites left cached while this test runs.
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
+    edges.unpersist()
   }
 }
