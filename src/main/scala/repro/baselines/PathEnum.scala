@@ -16,54 +16,26 @@ import scala.collection.mutable.ArrayBuffer
   */
 object PathEnum {
 
-  /** The per-query lightweight index. */
+  /** The per-query lightweight index: G^k_st with its adjacency in distance
+    * order, not id order (enumeration only, so `hasEdge` does not apply).
+    */
   final class Index(
-      val n: Int,
       val k: Int,
       val s: Int,
       val t: Int,
       val distF: Array[Int],
       val distB: Array[Int],
-      val out: Array[Array[Int]],
-      val in: Array[Array[Int]],
-  ) {
-    /** The pruned search space as a standalone graph (= G^k_st). Adjacency
-      * keeps the index's distance order, not id order — enumeration only.
-      */
-    def asGraph: LocalGraph = new LocalGraph(n, out, in)
-  }
-
-  /** Insertion sort of a small adjacency array by an Int key. */
-  private def sortBy(a: Array[Int], keyOf: Int => Int): Unit = {
-    var i = 1
-    while (i < a.length) {
-      val x = a(i); val kx = keyOf(x)
-      var j = i - 1
-      while (j >= 0 && keyOf(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
-      a(j + 1) = x
-      i += 1
-    }
-  }
+      val graph: LocalGraph,
+  )
 
   def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int): Index = {
     val dists = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
-    val distF = dists.toAll
-    val distB = dists.fromAll
-    val fwd   = Bfs.windowEdges(g, dists, k)
-    java.util.Arrays.sort(fwd)
-    val out = LocalGraph.grouped(g.n, fwd)
-    val rev = fwd.map(e => LocalGraph.enc(LocalGraph.dst(e), LocalGraph.src(e)))
-    java.util.Arrays.sort(rev)
-    val in = LocalGraph.grouped(g.n, rev)
+    val gst   = LocalGraph.fromEncodedEdges(g.n, Bfs.windowEdges(g, dists, k))
     // Sort out-neighbors closest-to-target first (and symmetrically), the
     // index ordering PathEnum's DFS relies on for early termination.
-    var w = 0
-    while (w < g.n) {
-      if (out(w).length > 1) sortBy(out(w), distB(_))
-      if (in(w).length > 1) sortBy(in(w), distF(_))
-      w += 1
-    }
-    new Index(g.n, k, s, t, distF, distB, out, in)
+    val graph = new LocalGraph(g.n,
+      LocalGraph.orderedBy(gst.outAdj, dists.toT(_)), LocalGraph.orderedBy(gst.inAdj, dists.fromS(_)))
+    new Index(k, s, t, dists.toAll, dists.fromAll, graph)
   }
 
   /** Sparse walk-count DP over the index: level l maps vertex -> number of
@@ -97,7 +69,7 @@ object PathEnum {
     * canonical middle split).
     */
   private[baselines] def chooseJoin(idx: Index): Boolean = {
-    val wf   = walkCounts(idx.out, idx.s, idx.k)
+    val wf   = walkCounts(idx.graph.outAdj, idx.s, idx.k)
     val fMax = (idx.k + 1) / 2
     var dfsCost = 0.0
     var fwdCost = 0.0
@@ -109,7 +81,7 @@ object PathEnum {
       if (l <= fMax) fwdCost += lvl
       l += 1
     }
-    val wb = walkCounts(idx.in, idx.t, idx.k / 2)
+    val wb = walkCounts(idx.graph.inAdj, idx.t, idx.k / 2)
     var bwdCost = 0.0
     l = 1
     while (l <= idx.k / 2) {
@@ -128,7 +100,7 @@ object PathEnum {
       // Join-based: reuse the canonical-split join over the pruned space.
       var count = 0L
       val buf = new ArrayBuffer[Int]()
-      JoinEnum.enumerate(idx.asGraph, s, t, k, deadline) { full =>
+      JoinEnum.enumerate(idx.graph, s, t, k, deadline) { full =>
         count += 1
         buf.clear(); full.foreach(buf += _)
         onPath(buf)
@@ -142,7 +114,7 @@ object PathEnum {
   private def dfsEnumerate(idx: Index, deadline: Long)(onPath: ArrayBuffer[Int] => Unit): Long = {
     var count   = 0L
     var steps   = 0
-    val onStack = new Array[Boolean](idx.n)
+    val onStack = new Array[Boolean](idx.graph.n)
     val stack   = new ArrayBuffer[Int]()
     val k       = idx.k
     def dfs(cur: Int, depth: Int): Unit = {
@@ -150,7 +122,7 @@ object PathEnum {
       if ((steps & 0xfff) == 0) Deadline.check(deadline)
       if (cur == idx.t) { count += 1; onPath(stack); return }
       if (depth >= k) return
-      val a = idx.out(cur); var j = 0
+      val a = idx.graph.outAdj(cur); var j = 0
       while (j < a.length) {
         val nxt = a(j)
         // Index adjacency is sorted by Δ(·,t); once the remaining budget is

@@ -52,15 +52,15 @@ object Bfs {
     val dist = Array.fill(n)(Inf)
     val frontier = new ArrayBuffer[Int]()
     roots.foreach { r => if (dist(r) == Inf) { dist(r) = 0; frontier += r } }
-    expand(adj, dist, frontier, 0, k, null)
+    expand(adj, dist, frontier, 0, k, null, 0)
     dist
   }
 
   /** Level-by-level BFS expansion: `frontier` holds the vertices at distance
     * `depth`; every vertex y first reached over `adj` gets dist(y) = its level,
-    * up to level `maxDepth`. A non-null `admit` lets in only vertices y with a
-    * finite admit(y). Returns the last level reached (empty once the search
-    * runs out).
+    * up to level `maxDepth`. A non-null `admit` lets in only vertices y with
+    * admit(y) ≤ `admitMax`. Returns the last level reached (empty once the
+    * search runs out).
     */
   private def expand(
       adj: Array[Array[Int]],
@@ -69,6 +69,7 @@ object Bfs {
       depth: Int,
       maxDepth: Int,
       admit: Array[Int],
+      admitMax: Int,
   ): ArrayBuffer[Int] = {
     var cur = frontier
     var d = depth
@@ -79,7 +80,7 @@ object Bfs {
         val a = adj(cur(i)); var j = 0
         while (j < a.length) {
           val y = a(j)
-          if (dist(y) == Inf && (admit == null || admit(y) != Inf)) { dist(y) = d + 1; next += y }
+          if (dist(y) == Inf && (admit == null || admit(y) <= admitMax)) { dist(y) = d + 1; next += y }
           j += 1
         }
         i += 1
@@ -106,7 +107,7 @@ object Bfs {
   @inline def inWindow(du: Int, dv: Int, k: Int): Boolean = du + 1 + dv <= k
 
   /** All edges of `g` inside the G^k_st window, encoded via [[LocalGraph.enc]],
-    * in (u, adjacency) order.
+    * in (u, adjacency) order: ascending, as g's adjacency is sorted.
     */
   def windowEdges(g: LocalGraph, dists: Dists, k: Int): Array[Long] = {
     val kept = new ArrayBuffer[Long]()
@@ -144,19 +145,15 @@ object Bfs {
         else if (fB.isEmpty) true
         else if (adaptive) fF.length <= fB.length
         else depthF <= depthB // strict alternation, forward first (⌈k/2⌉ / ⌊k/2⌋)
-      if (forward) { fF = expand(g.outAdj, dF, fF, depthF, depthF + 1, null); depthF += 1 }
-      else { fB = expand(g.inAdj, dB, fB, depthB, depthB + 1, null); depthB += 1 }
+      if (forward) { fF = expand(g.outAdj, dF, fF, depthF, depthF + 1, null, 0); depthF += 1 }
+      else { fB = expand(g.inAdj, dB, fB, depthB, depthB + 1, null, 0); depthB += 1 }
     }
-    // Snapshot which vertices each phase-1 side has seen: the continuations
-    // below must restrict to the *opposite phase-1* exploration, so run the
-    // forward continuation against a frozen view of dB and vice versa.
-    val dBPhase1 = dB.clone()
-    val dFPhase1 = dF.clone()
-
     // Phase 2: each side continues for the remaining steps, over vertices
-    // the other side explored in phase 1.
-    expand(g.outAdj, dF, fF, depthF, k, dBPhase1)
-    expand(g.inAdj, dB, fB, depthB, k, dFPhase1)
+    // the other side explored in phase 1. A continuation only writes levels
+    // above its own phase-1 depth, so phase-1 membership stays exactly
+    // dB(y) ≤ depthB (dF(y) ≤ depthF).
+    expand(g.outAdj, dF, fF, depthF, k, dB, depthB)
+    expand(g.inAdj, dB, fB, depthB, k, dF, depthF)
     Dists(dF, dB)
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Edge labels of §4: 0 = failing, 1 = undetermined, 2 = definite. */
@@ -10,15 +9,13 @@ object EdgeLabel {
   val Definite: Byte     = 2
 }
 
-/** The upper-bound graph SPGu_k(s,t) (Definition 4.1) with per-edge labels,
-  * plus the adjacency needed by verification.
-  */
+/** The upper-bound graph SPGu_k(s,t) (Definition 4.1) with per-edge labels. */
 final class UpperBoundGraph(
     val n: Int,
     val k: Int,
     val s: Int,
     val t: Int,
-    /** Encoded edges with label ≥ 1 (see [[LocalGraph.enc]]). */
+    /** Encoded edges with label ≥ 1 (see [[LocalGraph.enc]]), ascending. */
     val edges: Array[Long],
     /** Parallel to [[edges]]: 1 or 2. */
     val labels: Array[Byte],
@@ -30,27 +27,8 @@ final class UpperBoundGraph(
   def undeterminedEdges: Iterator[Long] =
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Undetermined => e }
 
-  /** Out-adjacency restricted to SPGu edges. */
-  lazy val outU: Array[Array[Int]] = UpperBoundGraph.adj(n, edges, forward = true)
-  /** In-adjacency restricted to SPGu edges. */
-  lazy val inU: Array[Array[Int]] = UpperBoundGraph.adj(n, edges, forward = false)
-
-  lazy val edgeSet: java.util.HashSet[java.lang.Long] = {
-    val set = new java.util.HashSet[java.lang.Long](edges.length * 2)
-    edges.foreach(e => set.add(e))
-    set
-  }
-  def containsEdge(u: Int, v: Int): Boolean = edgeSet.contains(LocalGraph.enc(u, v))
-}
-
-object UpperBoundGraph {
-  private def adj(n: Int, edges: Array[Long], forward: Boolean): Array[Array[Int]] = {
-    val enc =
-      if (forward) edges.clone()
-      else edges.map(e => LocalGraph.enc(LocalGraph.dst(e), LocalGraph.src(e)))
-    java.util.Arrays.sort(enc)
-    LocalGraph.grouped(n, enc)
-  }
+  /** SPGu as a graph, for boundary detection and verification (k ≥ 5 only). */
+  lazy val graph: LocalGraph = LocalGraph.fromEncodedEdges(n, edges.clone())
 }
 
 /** Algorithm 2 — per-edge labeling against the essential-vertex indexes. */
@@ -92,7 +70,8 @@ object EdgeLabeling {
 
   /** Label every edge inside the G^k_st window ([[Bfs.windowEdges]]) and
     * assemble the upper-bound graph. Edges outside it are failing without
-    * inspection (they violate the length constraint outright).
+    * inspection (they violate the length constraint outright). The window's
+    * ascending edge order is kept, so SPGu's edges come out ascending.
     */
   def upperBound(
       g: LocalGraph,
@@ -136,33 +115,28 @@ final class Boundary(
 
 object Boundary {
 
+  /** Departures and In_D come from SPGu, arrivals and Out_A from SPGu^r:
+    * Definition 5.3 is Definition 5.1 with the edges reversed and s, t swapped.
+    */
   def compute(ub: UpperBoundGraph): Boundary = {
-    val n   = ub.n
     val cap = math.max(1, ub.k - 2)
-    val isD = new Array[Boolean](n)
-    val isA = new Array[Boolean](n)
-    val inD  = new Array[ArrayBuffer[Int]](n)
-    val outA = new Array[ArrayBuffer[Int]](n)
+    val (isD, inD)  = side(ub.graph, ub.s, ub.t, cap)
+    val (isA, outA) = side(ub.graph.reverse, ub.t, ub.s, cap)
+    new Boundary(isD, isA, inD, outA)
+  }
 
-    // Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t distinct and
-    // e(s,x), e(x,v) ∈ SPGu.
-    for (x <- ub.outU(ub.s) if x != ub.t) {        // e(s,x) ∈ SPGu, x ≠ s by no-self-loop
-      for (v <- ub.outU(x) if v != ub.s && v != ub.t && v != x) {
-        isD(v) = true
-        if (inD(v) == null) inD(v) = new ArrayBuffer[Int]()
-        if (inD(v).length < cap && !inD(v).contains(x)) inD(v) += x
-      }
+  /** Definition 5.1 on `g`: v is a departure iff some x with x, v, root,
+    * other distinct has e(root,x), e(x,v) ∈ g; those x (the first `cap` of
+    * them) are v's valid in-neighbors. Each x is visited once, so no x repeats.
+    */
+  private def side(g: LocalGraph, root: Int, other: Int, cap: Int): (Array[Boolean], Array[Array[Int]]) = {
+    val is   = new Array[Boolean](g.n)
+    val nbrs = new Array[ArrayBuffer[Int]](g.n)
+    for (x <- g.outAdj(root) if x != other; v <- g.outAdj(x) if v != root && v != other && v != x) {
+      is(v) = true
+      if (nbrs(v) == null) nbrs(v) = new ArrayBuffer[Int]()
+      if (nbrs(v).length < cap) nbrs(v) += x
     }
-    // Definition 5.3: v ∈ A iff ∃ out-neighbor y with v,y,s,t distinct and
-    // e(v,y), e(y,t) ∈ SPGu.
-    for (y <- ub.inU(ub.t) if y != ub.s) {         // e(y,t) ∈ SPGu
-      for (v <- ub.inU(y) if v != ub.s && v != ub.t && v != y) {
-        isA(v) = true
-        if (outA(v) == null) outA(v) = new ArrayBuffer[Int]()
-        if (outA(v).length < cap && !outA(v).contains(y)) outA(v) += y
-      }
-    }
-    new Boundary(isD, isA, inD.map(b => if (b == null) null else b.toArray),
-      outA.map(b => if (b == null) null else b.toArray))
+    (is, nbrs.map(b => if (b == null) null else b.toArray))
   }
 }

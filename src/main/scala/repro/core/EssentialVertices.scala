@@ -51,7 +51,6 @@ object EssentialVertices {
 
     var frontier = ArrayBuffer(source)
     val touched  = new ArrayBuffer[Int]()
-    val changedAt = Array.fill(n)(-1) // layer at which the vertex was last updated
     // Vertices with a non-null set at any layer so far: inheritance (line 12)
     // only needs to visit these, keeping each layer O(|reached|), not O(|V|).
     val reached   = ArrayBuffer(source)
@@ -109,13 +108,15 @@ object EssentialVertices {
       // Delta frontier: only vertices whose set actually changed (or were
       // reached for the first time) can alter a neighbor's intersection at
       // the next layer; unchanged contributions are already folded in.
+      // `touched` holds each vertex once: cur(y) goes from null to non-null
+      // only once per layer.
       val next = new ArrayBuffer[Int]()
       var ti = 0
       while (ti < touched.length) {
         val y = touched(ti)
         val changed = (prev(y) == null) || (cur(y).length != prev(y).length) ||
           !java.util.Arrays.equals(cur(y), prev(y))
-        if (changed && changedAt(y) != l) { next += y; changedAt(y) = l }
+        if (changed) next += y
         ti += 1
       }
       frontier = next

@@ -88,23 +88,18 @@ object Eve {
     val ub = EdgeLabeling.upperBound(g, s, t, k, dists, evF, evB)
     val t3 = System.nanoTime()
 
-    val resultSet: java.util.HashSet[java.lang.Long] =
-      if (k <= 4) {
-        // Theorem 4.8: SPGu = SPG, no verification needed.
-        val set = new java.util.HashSet[java.lang.Long]()
-        ub.edges.foreach(e => set.add(e))
-        set
-      } else {
-        val boundary = Boundary.compute(ub)
-        new Verifier(ub, boundary, config.ordering, deadline).verify()
+    val edges: Array[Long] =
+      if (k <= 4) ub.edges.clone() // Theorem 4.8: SPGu = SPG; already sorted and unique
+      else {
+        val resultSet = new Verifier(ub, Boundary.compute(ub), config.ordering, deadline).verify()
+        val out = new Array[Long](resultSet.size())
+        val it  = resultSet.iterator()
+        var i   = 0
+        while (it.hasNext) { out(i) = it.next(); i += 1 }
+        java.util.Arrays.sort(out)
+        out
       }
     val t4 = System.nanoTime()
-
-    val edges = new Array[Long](resultSet.size())
-    val it    = resultSet.iterator()
-    var i     = 0
-    while (it.hasNext) { edges(i) = it.next(); i += 1 }
-    java.util.Arrays.sort(edges)
 
     val definite = ub.labels.count(_ == EdgeLabel.Definite)
     EveResult(

@@ -110,10 +110,31 @@ object LocalGraph {
     if (w == a.length) a else java.util.Arrays.copyOf(a, w)
   }
 
+  /** Each adjacency list stably insertion-sorted ascending by `key` (the
+    * degrees sorted this way are small, and insertion sort avoids boxing).
+    * Lists longer than one are copied; the rest are shared with `adj`.
+    */
+  def orderedBy(adj: Array[Array[Int]], key: Int => Long): Array[Array[Int]] =
+    adj.map { a =>
+      if (a.length <= 1) a
+      else {
+        val c = a.clone()
+        var i = 1
+        while (i < c.length) {
+          val x = c(i); val kx = key(x)
+          var j = i - 1
+          while (j >= 0 && key(c(j)) > kx) { c(j + 1) = c(j); j -= 1 }
+          c(j + 1) = x
+          i += 1
+        }
+        c
+      }
+    }
+
   /** Group a sorted, deduped encoded-edge array into per-src adjacency;
     * untouched vertices share one empty array.
     */
-  def grouped(n: Int, sorted: Array[Long]): Array[Array[Int]] = {
+  private def grouped(n: Int, sorted: Array[Long]): Array[Array[Int]] = {
     val out = new Array[Array[Int]](n)
     var i = 0
     while (i < sorted.length) {

@@ -37,9 +37,9 @@ final class Verifier(
 
   // Adjacency over SPGu, optionally re-ordered per §5.3.
   private val outAdj: Array[Array[Int]] =
-    if (ordering) Verifier.orderedOut(ub, boundary) else ub.outU
+    if (ordering) Verifier.ordered(ub.graph, boundary.arrivals, boundary.outA) else ub.graph.outAdj
   private val inAdj: Array[Array[Int]] =
-    if (ordering) Verifier.orderedIn(ub, boundary) else ub.inU
+    if (ordering) Verifier.ordered(ub.graph.reverse, boundary.departures, boundary.inD) else ub.graph.inAdj
 
   private val onStack = new Array[Boolean](n)
   private val stkE    = new ArrayBuffer[Long]()
@@ -150,38 +150,16 @@ final class Verifier(
 
 object Verifier {
 
-  /** §5.3: sort out-neighbors ascending by distance to the closest arrival
-    * (following SPGu edges forward); arrivals themselves (distance 0) sort by
-    * |Out_A| descending.
+  /** §5.3 on `g`: sort out-neighbors ascending by distance to the nearest of
+    * `targets` along g's edges; targets themselves (distance 0) sort by
+    * |sets(w)| descending. On SPGu with (arrivals, Out_A) this orders the
+    * forward search, on SPGu^r with (departures, In_D) the backward one.
     */
-  private[core] def orderedOut(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
-    // Distance from w to the nearest arrival along forward edges = BFS from
-    // the arrival set over reversed SPGu edges; no distance reaches ub.n, so
+  private[core] def ordered(g: LocalGraph, targets: Seq[Int], sets: Array[Array[Int]]): Array[Array[Int]] = {
+    // BFS from the targets over reversed edges; no distance reaches g.n, so
     // that bound leaves the search unbounded.
-    val distToArr = Bfs.boundedFrom(ub.inU, ub.n, b.arrivals, ub.n)
-    ub.outU.map { a =>
-      if (a.length <= 1) a
-      else {
-        val copy = a.clone()
-        sortByKeys(copy, w => key(distToArr(w), if (b.outA(w) == null) 0 else b.outA(w).length))
-        copy
-      }
-    }
-  }
-
-  /** §5.3 symmetric: in-neighbors ascending by distance from the closest
-    * departure; departures sort by |In_D| descending.
-    */
-  private[core] def orderedIn(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
-    val distFromDep = Bfs.boundedFrom(ub.outU, ub.n, b.departures, ub.n)
-    ub.inU.map { a =>
-      if (a.length <= 1) a
-      else {
-        val copy = a.clone()
-        sortByKeys(copy, w => key(distFromDep(w), if (b.inD(w) == null) 0 else b.inD(w).length))
-        copy
-      }
-    }
+    val dist = Bfs.boundedFrom(g.inAdj, g.n, targets, g.n)
+    LocalGraph.orderedBy(g.outAdj, w => key(dist(w), if (sets(w) == null) 0 else sets(w).length))
   }
 
   /** Composite sort key: primary distance ascending, tie-break set size
@@ -189,16 +167,4 @@ object Verifier {
     */
   @inline private def key(dist: Int, setSize: Int): Long =
     (dist.toLong << 32) | ((Int.MaxValue - setSize).toLong & 0xffffffffL)
-
-  /** Insertion sort — SPGu degrees are small, avoids boxing entirely. */
-  private def sortByKeys(a: Array[Int], f: Int => Long): Unit = {
-    var i = 1
-    while (i < a.length) {
-      val x = a(i); val kx = f(x)
-      var j = i - 1
-      while (j >= 0 && f(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
-      a(j + 1) = x
-      i += 1
-    }
-  }
 }

@@ -22,7 +22,7 @@ class KhsqSpec extends SparkSpec {
       if (s != t) {
         val ref = reference(g, s, t, k)
         assert(Khsq.edges(g, s, t, k, plus = false) == ref)
-        val index = PathEnum.buildIndex(g, s, t, k).asGraph
+        val index = PathEnum.buildIndex(g, s, t, k).graph
         assert(index.edges.map { case (u, v) => LocalGraph.enc(u, v) }.toSet == ref, "PathEnum index")
       }
     }

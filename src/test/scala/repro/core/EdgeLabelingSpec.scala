@@ -70,6 +70,37 @@ class EdgeLabelingSpec extends SparkSpec {
     }
   }
 
+  // Eve.run answers k <= 4 with SPGu's edge array as it stands.
+  for (seed <- 0 until 10; k <- Seq(3, 4, 6)) {
+    test(s"SPGu edges are strictly ascending (seed=$seed k=$k)") {
+      val n = 15 + seed
+      val g = GraphGen.uniform(n, 3 * n, seed * 41 + k)
+      val s = seed % n; val t = (seed * 5 + 3) % n
+      if (s != t) {
+        val es = labelAll(g, s, t, k).edges
+        for (i <- 1 until es.length) assert(es(i - 1) < es(i), s"position $i")
+      }
+    }
+  }
+
+  // Definition 5.3 is Definition 5.1 on the reversed graph with s and t swapped.
+  for (seed <- 0 until 10; k <- Seq(5, 6, 7)) {
+    test(s"Boundary on (G^r, t, s) swaps departures/arrivals and In_D/Out_A (seed=$seed k=$k)") {
+      val n = 14 + seed % 5
+      val g = GraphGen.uniform(n, 3 * n, seed * 37 + k)
+      val s = seed % n; val t = (seed * 3 + 5) % n
+      if (s != t) {
+        val fwd = Boundary.compute(labelAll(g, s, t, k))
+        val rev = Boundary.compute(labelAll(g.reverse, t, s, k))
+        assert(fwd.departures == rev.arrivals)
+        assert(fwd.arrivals == rev.departures)
+        def asSets(a: Array[Array[Int]]): Seq[Set[Int]] = a.toSeq.map(x => if (x == null) null else x.toSet)
+        assert(asSets(fwd.inD) == asSets(rev.outA))
+        assert(asSets(fwd.outA) == asSets(rev.inD))
+      }
+    }
+  }
+
   for (seed <- 0 until 10; k <- Seq(1, 2, 3, 4)) {
     test(s"Theorem 4.8: SPGu equals SPG exactly for k<=4 (seed=$seed k=$k)") {
       val n = 10 + seed % 6

@@ -63,6 +63,23 @@ class LocalGraphSpec extends SparkSpec {
     }
   }
 
+  for (seed <- 0 until 10) {
+    test(s"orderedBy: permutation, ascending in key, stable on ties (seed=$seed)") {
+      val rnd = new scala.util.Random(seed)
+      val adj = Array.fill(20)(rnd.shuffle((0 until 40).toVector).take(rnd.nextInt(12)).toArray)
+      val key: Int => Long = w => (w % 4).toLong
+      val ordered = LocalGraph.orderedBy(adj, key)
+      for ((in, out) <- adj.zip(ordered)) {
+        assert(out.sorted.toSeq == in.sorted.toSeq, "not a permutation")
+        for (i <- 1 until out.length) {
+          assert(key(out(i - 1)) <= key(out(i)), s"key order at $i")
+          if (key(out(i - 1)) == key(out(i)))
+            assert(in.indexOf(out(i - 1)) < in.indexOf(out(i)), s"tie order at $i")
+        }
+      }
+    }
+  }
+
   test("VSet.intersect over sorted arrays") {
     assert(VSet.intersect(Array(1, 3, 5), Array(2, 3, 5, 7)).toSeq == Seq(3, 5))
     assert(VSet.intersect(Array(1, 2), Array(3, 4)).toSeq == Seq.empty)
