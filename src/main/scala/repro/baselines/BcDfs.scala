@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Bfs, Deadline, LocalGraph}
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** BC-DFS [27,29]: hop-constrained s-t simple path enumeration with
@@ -15,13 +14,10 @@ import scala.collection.mutable.ArrayBuffer
   * (otherwise the failure is stack-dependent), the soundness condition of
   * the original algorithm.
   */
-object BcDfs {
+object BcDfs extends PathEnumerator {
+  val name = "BC-DFS"
 
-  /** Enumerate all ≤k-hop s-t simple paths, invoking `onPath` with the
-    * current vertex stack for each (the buffer is reused — copy if kept).
-    * Returns the number of paths.
-    */
-  def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
+  protected def search(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long)(
       onPath: ArrayBuffer[Int] => Unit): Long = {
     val distB = Bfs.bounded(g.inAdj, g.n, t, k)
     if (distB(s) > k) return 0L
@@ -62,18 +58,5 @@ object BcDfs {
     onStack(s) = true; stack += s
     dfs(s, k)
     count
-  }
-
-  def count(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Long =
-    enumerate(g, s, t, k, deadline)(_ => ())
-
-  /** SPG via enumeration: union the edges of every output path. */
-  def spg(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Set[Long] = {
-    val edges = mutable.Set[Long]()
-    enumerate(g, s, t, k, deadline) { stack =>
-      var i = 1
-      while (i < stack.length) { edges += LocalGraph.enc(stack(i - 1), stack(i)); i += 1 }
-    }
-    edges.toSet
   }
 }

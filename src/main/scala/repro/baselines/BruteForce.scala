@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Deadline, LocalGraph}
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Reference implementations by exhaustive DFS. These define ground truth
@@ -9,15 +8,19 @@ import scala.collection.mutable.ArrayBuffer
   * the paper's introduction describes (enumerate all k-hop-constrained s-t
   * simple paths, union their edges).
   */
-object BruteForce {
+object BruteForce extends PathEnumerator {
+  val name = "BruteForce"
 
-  /** All simple paths s→t with ≤ k hops, each as a vertex sequence. */
-  def allSimplePaths(g: LocalGraph, s: Int, t: Int, k: Int): Seq[Seq[Int]] = {
-    val out     = new ArrayBuffer[Seq[Int]]()
+  protected def search(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long)(
+      onPath: ArrayBuffer[Int] => Unit): Long = {
+    var count   = 0L
+    var steps   = 0
     val onStack = new Array[Boolean](g.n)
     val stack   = new ArrayBuffer[Int]()
     def dfs(cur: Int): Unit = {
-      if (cur == t) { out += stack.toSeq; return }
+      steps += 1
+      if ((steps & 0xfff) == 0) Deadline.check(deadline)
+      if (cur == t) { count += 1; onPath(stack); return }
       if (stack.length - 1 >= k) return
       val a = g.outAdj(cur); var j = 0
       while (j < a.length) {
@@ -32,60 +35,14 @@ object BruteForce {
     }
     onStack(s) = true; stack += s
     dfs(s)
-    out.toSeq
-  }
-
-  /** Number of ≤k-hop s-t simple paths (no materialization). */
-  def countSimplePaths(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Long = {
-    var count   = 0L
-    var steps   = 0
-    val onStack = new Array[Boolean](g.n)
-    def dfs(cur: Int, depth: Int): Unit = {
-      steps += 1
-      if ((steps & 0xfff) == 0) Deadline.check(deadline)
-      if (cur == t) { count += 1; return }
-      if (depth >= k) return
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
-        if (!onStack(nxt)) {
-          onStack(nxt) = true
-          dfs(nxt, depth + 1)
-          onStack(nxt) = false
-        }
-        j += 1
-      }
-    }
-    onStack(s) = true
-    dfs(s, 0)
     count
   }
 
-  /** Exact SPG_k(s,t) as an encoded-edge set, by unioning all path edges. */
-  def spg(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Set[Long] = {
-    val edges   = mutable.Set[Long]()
-    var steps   = 0
-    val onStack = new Array[Boolean](g.n)
-    val stackE  = new ArrayBuffer[Long]()
-    def dfs(cur: Int, depth: Int): Unit = {
-      steps += 1
-      if ((steps & 0xfff) == 0) Deadline.check(deadline)
-      if (cur == t) { stackE.foreach(edges += _); return }
-      if (depth >= k) return
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
-        if (!onStack(nxt)) {
-          onStack(nxt) = true; stackE += LocalGraph.enc(cur, nxt)
-          dfs(nxt, depth + 1)
-          onStack(nxt) = false; stackE.remove(stackE.length - 1)
-        }
-        j += 1
-      }
-    }
-    onStack(s) = true
-    dfs(s, 0)
-    edges.toSet
+  /** All simple paths s→t with ≤ k hops, each as a vertex sequence. */
+  def allSimplePaths(g: LocalGraph, s: Int, t: Int, k: Int): Seq[Seq[Int]] = {
+    val out = new ArrayBuffer[Seq[Int]]()
+    enumerate(g, s, t, k)(out += _.toSeq)
+    out.toSeq
   }
 
   /** Essential vertices by definition (Eq. 1): intersect the vertex sets of

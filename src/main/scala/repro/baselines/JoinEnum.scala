@@ -14,7 +14,8 @@ import scala.collection.mutable.ArrayBuffer
   * path of length L splits uniquely at hop ⌈L/2⌉, so each path is produced
   * exactly once) and the two partials share only the meet vertex.
   */
-object JoinEnum {
+object JoinEnum extends PathEnumerator {
+  val name = "JOIN"
 
   /** A partial path: the full vertex sequence (s..meet or meet..t). */
   private type Partial = Array[Int]
@@ -59,9 +60,8 @@ object JoinEnum {
     buckets
   }
 
-  /** Enumerate paths; `onPath` receives the full s..t vertex sequence. */
-  def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
-      onPath: Array[Int] => Unit): Long = {
+  protected def search(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long)(
+      onPath: ArrayBuffer[Int] => Unit): Long = {
     val distF = Bfs.bounded(g.outAdj, g.n, s, k)
     val distB = Bfs.bounded(g.inAdj, g.n, t, k)
     if (distB(s) > k) return 0L
@@ -75,8 +75,8 @@ object JoinEnum {
     var count = 0L
     var probes = 0
     val seen  = new Array[Boolean](g.n)
+    val full  = new ArrayBuffer[Int](k + 1)
     fwd.foreach { case (meetL, pfs) =>
-      val meet = meetL.toInt
       bwd.get(meetL).foreach { pbs =>
         var i = 0
         while (i < pfs.length) {
@@ -99,12 +99,10 @@ object JoinEnum {
               while (ok && x < pb.length - 1) { ok = !seen(pb(x)); x += 1 }
               if (ok) {
                 count += 1
-                if (onPath ne JoinEnum.NoopConsumer) {
-                  val full = new Array[Int](lf + lb + 1)
-                  System.arraycopy(pf, 0, full, 0, pf.length)
+                if (onPath ne PathEnumerator.NoPath) {
+                  full.clear(); full ++= pf
                   var y = pb.length - 2
-                  var pos = pf.length
-                  while (y >= 0) { full(pos) = pb(y); pos += 1; y -= 1 }
+                  while (y >= 0) { full += pb(y); y -= 1 }
                   onPath(full)
                 }
               }
@@ -117,20 +115,5 @@ object JoinEnum {
       }
     }
     count
-  }
-
-  private val NoopConsumer: Array[Int] => Unit = _ => ()
-
-  def count(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Long =
-    enumerate(g, s, t, k, deadline)(NoopConsumer)
-
-  /** SPG via enumeration: union the edges of every joined path. */
-  def spg(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Set[Long] = {
-    val edges = mutable.Set[Long]()
-    enumerate(g, s, t, k, deadline) { full =>
-      var i = 1
-      while (i < full.length) { edges += LocalGraph.enc(full(i - 1), full(i)); i += 1 }
-    }
-    edges.toSet
   }
 }

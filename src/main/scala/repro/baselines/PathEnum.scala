@@ -14,7 +14,8 @@ import scala.collection.mutable.ArrayBuffer
   * join of middle-split partials (reusing the canonical-split machinery of
   * [[JoinEnum]] over the pruned search space).
   */
-object PathEnum {
+object PathEnum extends PathEnumerator {
+  val name = "PathEnum"
 
   /** The per-query lightweight index: G^k_st with its adjacency in distance
     * order, not id order (enumeration only, so `hasEdge` does not apply).
@@ -91,24 +92,13 @@ object PathEnum {
     fwdCost + bwdCost < dfsCost / 4.0
   }
 
-  /** Enumerate all ≤k-hop s-t simple paths over the index. */
-  def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
+  /** Enumerate over the index, by DFS or by JOIN as the optimizer picks. */
+  protected def search(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long)(
       onPath: ArrayBuffer[Int] => Unit): Long = {
     val idx = buildIndex(g, s, t, k)
-    if (idx.distB(s) > k) return 0L
-    if (chooseJoin(idx)) {
-      // Join-based: reuse the canonical-split join over the pruned space.
-      var count = 0L
-      val buf = new ArrayBuffer[Int]()
-      JoinEnum.enumerate(idx.graph, s, t, k, deadline) { full =>
-        count += 1
-        buf.clear(); full.foreach(buf += _)
-        onPath(buf)
-      }
-      count
-    } else {
-      dfsEnumerate(idx, deadline)(onPath)
-    }
+    if (idx.distB(s) > k) 0L
+    else if (chooseJoin(idx)) JoinEnum.enumerate(idx.graph, s, t, k, deadline)(onPath)
+    else dfsEnumerate(idx, deadline)(onPath)
   }
 
   private def dfsEnumerate(idx: Index, deadline: Long)(onPath: ArrayBuffer[Int] => Unit): Long = {
@@ -139,18 +129,5 @@ object PathEnum {
     onStack(idx.s) = true; stack += idx.s
     dfs(idx.s, 0)
     count
-  }
-
-  def count(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Long =
-    enumerate(g, s, t, k, deadline)(_ => ())
-
-  /** SPG via enumeration: union the edges of every output path. */
-  def spg(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Set[Long] = {
-    val edges = mutable.Set[Long]()
-    enumerate(g, s, t, k, deadline) { stack =>
-      var i = 1
-      while (i < stack.length) { edges += LocalGraph.enc(stack(i - 1), stack(i)); i += 1 }
-    }
-    edges.toSet
   }
 }

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
+import repro.baselines.{JoinEnum, PathEnum}
 import repro.data.GraphGen
 import repro.distributed.{QueryRunner, SpgAlgo}
 
@@ -25,7 +26,7 @@ object Fig8Performance {
     val nQ      = BenchUtil.queriesPerPoint
     val timeout = BenchUtil.timeoutMs
     val algos: Seq[SpgAlgo] =
-      Seq(SpgAlgo.EveAlgo(), SpgAlgo.JoinAlgo, SpgAlgo.PathEnumAlgo)
+      Seq(SpgAlgo.EveAlgo(), SpgAlgo.Enumeration(JoinEnum), SpgAlgo.Enumeration(PathEnum))
 
     val rows = for {
       name <- datasetNames

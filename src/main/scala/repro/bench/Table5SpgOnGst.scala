@@ -25,7 +25,7 @@ object Table5SpgOnGst {
     val timeout = BenchUtil.timeoutMs
     val sc      = spark.sparkContext
 
-    val perAlgo = Seq("JOIN", "PathEnum").map { algoName =>
+    val perAlgo = Seq(JoinEnum, PathEnum).map { e =>
       val cells = datasetNames.map { name =>
         val spec = GraphGen.dataset(name)
         val g    = spec.build()
@@ -37,14 +37,10 @@ object Table5SpgOnGst {
             val graph = bcG.value
             try {
               val t0 = System.nanoTime()
-              val base =
-                if (algoName == "JOIN") JoinEnum.spg(graph, s, t, k, Deadline.in(timeout))
-                else PathEnum.spg(graph, s, t, k, Deadline.in(timeout))
+              val base = e.spg(graph, s, t, k, Deadline.in(timeout))
               val t1  = System.nanoTime()
               val gst = Khsq.subgraph(graph, s, t, k, plus = true)
-              val red =
-                if (algoName == "JOIN") JoinEnum.spg(gst, s, t, k, Deadline.in(timeout))
-                else PathEnum.spg(gst, s, t, k, Deadline.in(timeout))
+              val red = e.spg(gst, s, t, k, Deadline.in(timeout))
               val t2 = System.nanoTime()
               require(red == base, s"SPG mismatch on G_st for ($s,$t)")
               Some(((t1 - t0).toDouble, (t2 - t1).toDouble))
@@ -54,7 +50,7 @@ object Table5SpgOnGst {
         val ok = outcomes.flatten
         if (ok.isEmpty) "-" else BenchUtil.fmtRatio(ok.map(_._1).sum / ok.map(_._2).sum)
       }
-      Seq(algoName) ++ cells
+      Seq(e.name) ++ cells
     }
 
     s"## Table 5 — speedups for generating SPG on G^k_st via KHSQ+ (k=$k, $nQ queries)\n\n" +

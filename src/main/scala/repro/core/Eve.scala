@@ -64,8 +64,9 @@ object Eve {
       config: EveConfig = EveConfig.Default,
       deadline: Long = Deadline.None,
   ): EveResult = {
-    require(s != t, "query requires s != t")
-    require(k >= 1, "hop constraint must be >= 1")
+    g.requireVertices(s, t, k)
+    require(s != t, s"query (s=$s, t=$t, k=$k) requires s != t")
+    require(k >= 1, s"query (s=$s, t=$t, k=$k): hop constraint must be >= 1")
 
     val t0    = System.nanoTime()
     val dists = Bfs.distances(g, s, t, k, config.search)

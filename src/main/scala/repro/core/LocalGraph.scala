@@ -43,6 +43,10 @@ final class LocalGraph(
   def outDeg(v: Int): Int = outAdj(v).length
   def inDeg(v: Int): Int  = inAdj(v).length
 
+  /** Rejects a query `<s,t,k>` whose `s` or `t` is not a vertex of this graph. */
+  def requireVertices(s: Int, t: Int, k: Int): Unit =
+    require(s >= 0 && s < n && t >= 0 && t < n, s"query (s=$s, t=$t, k=$k): s and t must lie in [0, $n)")
+
   /** The reversed graph G^r (shares the adjacency arrays). */
   def reverse: LocalGraph = new LocalGraph(n, inAdj, outAdj)
 

@@ -1,12 +1,13 @@
 package repro.distributed
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{BcDfs, JoinEnum, PathEnum}
+import repro.baselines.PathEnumerator
 import repro.core._
 
-/** SPG-generation algorithms runnable per query on an executor. A sealed
-  * enum rather than closures keeps Spark serialization trivial and names the
-  * algorithm in reports.
+/** SPG-generation algorithms runnable per query on an executor: EVE, or the
+  * edge union of an enumerator's paths. A sealed trait of serializable
+  * cases rather than closures keeps Spark serialization trivial and names
+  * the algorithm in reports.
   */
 sealed trait SpgAlgo extends Serializable {
   def name: String
@@ -22,20 +23,10 @@ object SpgAlgo {
     def spgSize(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long): Int =
       Eve.spg(g, s, t, k, config, deadline).length
   }
-  case object JoinAlgo extends SpgAlgo {
-    val name = "JOIN"
+  final case class Enumeration(e: PathEnumerator) extends SpgAlgo {
+    def name: String = e.name
     def spgSize(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long): Int =
-      JoinEnum.spg(g, s, t, k, deadline).size
-  }
-  case object PathEnumAlgo extends SpgAlgo {
-    val name = "PathEnum"
-    def spgSize(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long): Int =
-      PathEnum.spg(g, s, t, k, deadline).size
-  }
-  case object BcDfsAlgo extends SpgAlgo {
-    val name = "BC-DFS"
-    def spgSize(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long): Int =
-      BcDfs.spg(g, s, t, k, deadline).size
+      e.spg(g, s, t, k, deadline).size
   }
 }
 
@@ -69,6 +60,7 @@ object QueryRunner {
       timeoutMs: Long,
       warmup: Boolean = true,
   ): BatchResult = {
+    if (queries.isEmpty) return BatchResult(algo.name, Seq.empty)
     val sc  = spark.sparkContext
     val bcG = sc.broadcast(g)
     // Warmup fans out wide; the measured pass caps concurrency at 4 tasks so
@@ -94,9 +86,9 @@ object QueryRunner {
     // Per-query times at mini scale are milliseconds; an unmeasured pass
     // first absorbs JIT compilation and broadcast materialization so the
     // measured pass reflects steady state.
-    if (warmup) pass(measure = false)
-    val outcomes = pass(measure = true)
-    bcG.destroy()
-    BatchResult(algo.name, outcomes)
+    try {
+      if (warmup) pass(measure = false)
+      BatchResult(algo.name, pass(measure = true))
+    } finally bcG.destroy()
   }
 }

@@ -1,34 +1,21 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{Deadline, DeadlineExceeded, Eve, LocalGraph, PaperGraph}
+import repro.core.{DeadlineExceeded, Eve, LocalGraph, PaperGraph}
 import repro.data.GraphGen
 
 class BaselinesSpec extends SparkSpec {
 
-  private def bruteCount(g: LocalGraph, s: Int, t: Int, k: Int): Long =
-    BruteForce.countSimplePaths(g, s, t, k)
+  private val enumerators: Seq[PathEnumerator] = Seq(BcDfs, JoinEnum, PathEnum)
 
   // --- enumeration counts vs brute force ---
 
-  for (seed <- 0 until 12; k <- Seq(2, 4, 5, 7)) {
-    test(s"BC-DFS count equals brute force (seed=$seed k=$k)") {
+  for (seed <- 0 until 12; k <- Seq(2, 4, 5, 7); e <- enumerators) {
+    test(s"${e.name} count equals brute force (seed=$seed k=$k)") {
       val n = 11 + seed % 6
       val g = GraphGen.uniform(n, (2.4 * n).toInt, seed * 19 + k)
       val s = seed % n; val t = (seed * 5 + 1) % n
-      if (s != t) assert(BcDfs.count(g, s, t, k) == bruteCount(g, s, t, k))
-    }
-    test(s"JOIN count equals brute force (seed=$seed k=$k)") {
-      val n = 11 + seed % 6
-      val g = GraphGen.uniform(n, (2.4 * n).toInt, seed * 19 + k)
-      val s = seed % n; val t = (seed * 5 + 1) % n
-      if (s != t) assert(JoinEnum.count(g, s, t, k) == bruteCount(g, s, t, k))
-    }
-    test(s"PathEnum count equals brute force (seed=$seed k=$k)") {
-      val n = 11 + seed % 6
-      val g = GraphGen.uniform(n, (2.4 * n).toInt, seed * 19 + k)
-      val s = seed % n; val t = (seed * 5 + 1) % n
-      if (s != t) assert(PathEnum.count(g, s, t, k) == bruteCount(g, s, t, k))
+      if (s != t) assert(e.count(g, s, t, k) == BruteForce.count(g, s, t, k))
     }
   }
 
@@ -40,9 +27,7 @@ class BaselinesSpec extends SparkSpec {
       val s = seed % g.n; val t = (seed * 7 + 2) % g.n
       if (s != t) {
         val exp = BruteForce.spg(g, s, t, k)
-        assert(BcDfs.spg(g, s, t, k) == exp, "BC-DFS")
-        assert(JoinEnum.spg(g, s, t, k) == exp, "JOIN")
-        assert(PathEnum.spg(g, s, t, k) == exp, "PathEnum")
+        enumerators.foreach(e => assert(e.spg(g, s, t, k) == exp, e.name))
         assert(Eve.spg(g, s, t, k).toSet == exp, "EVE")
       }
     }
@@ -50,61 +35,69 @@ class BaselinesSpec extends SparkSpec {
 
   // --- paths delivered by enumeration are valid simple paths ---
 
-  test("BC-DFS emits valid ≤k simple paths on the paper graph") {
-    import PaperGraph._
-    var n = 0L
-    BcDfs.enumerate(graph, s, t, 7) { stack =>
-      n += 1
-      assert(stack.head == s && stack.last == t)
-      assert(stack.toSet.size == stack.length, "repeated vertex")
-      assert(stack.length - 1 <= 7)
-      stack.sliding(2).foreach(p => assert(graph.hasEdge(p(0), p(1))))
+  /** Every emitted path is a ≤k-hop s-t simple path of `g`, and the emitted
+    * paths are exactly brute force's.
+    */
+  private def assertValidPaths(e: PathEnumerator, g: LocalGraph, s: Int, t: Int, k: Int): Unit = {
+    val paths = Seq.newBuilder[Seq[Int]]
+    val n = e.enumerate(g, s, t, k) { path =>
+      assert(path.head == s && path.last == t)
+      assert(path.toSet.size == path.length, "repeated vertex")
+      assert(path.length - 1 <= k)
+      path.sliding(2).foreach(p => assert(g.hasEdge(p(0), p(1))))
+      paths += path.toSeq
     }
-    assert(n == bruteCount(graph, s, t, 7))
+    val emitted  = paths.result()
+    val expected = BruteForce.allSimplePaths(g, s, t, k)
+    assert(n == expected.size && emitted.size == expected.size)
+    assert(emitted.toSet == expected.toSet)
   }
 
-  test("JOIN emits valid ≤k simple paths on the paper graph") {
-    import PaperGraph._
-    var n = 0L
-    JoinEnum.enumerate(graph, s, t, 7) { full =>
-      n += 1
-      assert(full.head == s && full.last == t)
-      assert(full.toSet.size == full.length, "repeated vertex")
-      assert(full.length - 1 <= 7)
-      full.sliding(2).foreach(p => assert(graph.hasEdge(p(0), p(1))))
+  for (e <- enumerators) {
+    test(s"${e.name} emits valid ≤k simple paths on the paper graph") {
+      import PaperGraph._
+      assertValidPaths(e, graph, s, t, 7)
     }
-    assert(n == bruteCount(graph, s, t, 7))
+  }
+
+  test("PathEnum emits valid ≤k simple paths when its optimizer picks JOIN") {
+    val n = 6
+    val g = LocalGraph.fromEdges(n, for (u <- 0 until n; v <- 0 until n if u != v) yield (u, v))
+    assert(PathEnum.chooseJoin(PathEnum.buildIndex(g, 0, n - 1, 5)))
+    assertValidPaths(PathEnum, g, 0, n - 1, 5)
   }
 
   test("paper graph path census at k=4 matches Figure 1(b) structure") {
     import PaperGraph._
     // The five ≤4-hop s-t simple paths reconstructed in PaperGraph.spg4.
-    assert(bruteCount(graph, s, t, 4) == 5)
-    assert(BcDfs.count(graph, s, t, 4) == 5)
-    assert(JoinEnum.count(graph, s, t, 4) == 5)
-    assert(PathEnum.count(graph, s, t, 4) == 5)
+    assert(BruteForce.count(graph, s, t, 4) == 5)
+    enumerators.foreach(e => assert(e.count(graph, s, t, 4) == 5, e.name))
   }
 
   test("unreachable pair: every enumerator returns zero") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (2, 3)))
-    assert(BcDfs.count(g, 0, 3, 6) == 0)
-    assert(JoinEnum.count(g, 0, 3, 6) == 0)
-    assert(PathEnum.count(g, 0, 3, 6) == 0)
+    enumerators.foreach(e => assert(e.count(g, 0, 3, 6) == 0, e.name))
   }
 
   test("direct edge only, k=1: exactly one path") {
     val g = LocalGraph.fromEdges(3, Seq((0, 2), (0, 1), (1, 2)))
-    assert(BcDfs.count(g, 0, 2, 1) == 1)
-    assert(JoinEnum.count(g, 0, 2, 1) == 1)
-    assert(PathEnum.count(g, 0, 2, 1) == 1)
+    enumerators.foreach(e => assert(e.count(g, 0, 2, 1) == 1, e.name))
   }
 
   test("deadline aborts enumeration") {
     val g = GraphGen.uniform(40, 400, 13)
     val expired = System.nanoTime() - 1
-    intercept[DeadlineExceeded](BcDfs.count(g, 0, 1, 8, expired))
-    intercept[DeadlineExceeded](JoinEnum.count(g, 0, 1, 8, expired))
-    intercept[DeadlineExceeded](PathEnum.count(g, 0, 1, 8, expired))
+    enumerators.foreach(e => intercept[DeadlineExceeded](e.count(g, 0, 1, 8, expired)))
+  }
+
+  for (e <- BruteForce +: enumerators) {
+    test(s"${e.name} rejects s or t outside the graph, naming the query") {
+      val g = PaperGraph.graph
+      for ((s, t) <- Seq((-1, 7), (0, g.n), (g.n, 0), (0, -1))) {
+        val ex = intercept[IllegalArgumentException](e.count(g, s, t, 4))
+        assert(ex.getMessage.contains(s"query (s=$s, t=$t, k=4)"))
+      }
+    }
   }
 
   test("PathEnum optimizer picks DFS on sparse chains and still counts right") {

@@ -7,11 +7,21 @@ import repro.data.GraphGen
 class EveSpec extends SparkSpec {
 
   test("rejects s == t") {
-    intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, 0, 0, 4))
+    val ex = intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, 0, 0, 4))
+    assert(ex.getMessage.contains("query (s=0, t=0, k=4)"))
   }
 
   test("rejects k < 1") {
-    intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, 0, 7, 0))
+    val ex = intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, 0, 7, 0))
+    assert(ex.getMessage.contains("query (s=0, t=7, k=0)"))
+  }
+
+  test("rejects s or t outside the graph, naming the query") {
+    val g = PaperGraph.graph
+    for ((s, t) <- Seq((-1, 7), (0, g.n), (g.n, 0), (0, -1))) {
+      val ex = intercept[IllegalArgumentException](Eve.run(g, s, t, 4))
+      assert(ex.getMessage.contains(s"query (s=$s, t=$t, k=4)"))
+    }
   }
 
   test("unreachable target yields an empty graph quickly") {
